@@ -612,12 +612,7 @@ fn bench_net_loopback(c: &mut Criterion) {
         "127.0.0.1:0",
         Arc::clone(&service),
         apps,
-        NetConfig {
-            // The default 500µs idle sleep would dominate a cell whose
-            // in-memory half completes in ~30µs.
-            poll_interval: Duration::from_micros(20),
-            ..NetConfig::default()
-        },
+        NetConfig::default(),
     )
     .expect("bind loopback");
     let mut client = NetClient::connect(server.local_addr()).expect("connect");

@@ -113,6 +113,18 @@ impl NetClient {
         })
     }
 
+    /// Replaces the read timeout [`NetClient::connect`] set (`None`
+    /// blocks indefinitely): how long a reply wait may take before it
+    /// fails with [`NetClientError::Io`].
+    ///
+    /// # Errors
+    ///
+    /// The socket-option failure.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), NetClientError> {
+        self.stream.set_read_timeout(timeout)?;
+        Ok(())
+    }
+
     /// `Backoff` frames observed so far.
     pub fn backoffs(&self) -> u64 {
         self.backoffs

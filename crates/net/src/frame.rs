@@ -399,6 +399,17 @@ impl FrameReader {
     /// or any decode error of [`Frame::decode`]. After an error the
     /// stream is unsynchronised; the connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        Ok(self.next_frame_with_len()?.map(|(frame, _)| frame))
+    }
+
+    /// [`FrameReader::next_frame`], also handing back the frame's body
+    /// length in bytes (its length prefix) — what a receiver would
+    /// otherwise re-encode the frame to learn.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameReader::next_frame`].
+    pub fn next_frame_with_len(&mut self) -> Result<Option<(Frame, usize)>, FrameError> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
@@ -414,7 +425,7 @@ impl FrameReader {
         }
         let frame = Frame::decode(&self.buf[4..4 + len])?;
         self.buf.drain(..4 + len);
-        Ok(Some(frame))
+        Ok(Some((frame, len)))
     }
 }
 

@@ -1,5 +1,6 @@
 //! `tpdf-net` — wire-fed sessions: non-blocking TCP ingestion for
-//! [`tpdf_service`] with end-to-end backpressure, on `std::net` alone.
+//! [`tpdf_service`] with end-to-end backpressure, on `std::net` and
+//! one `poll(2)` call (unix targets only).
 //!
 //! The service layer (PR 3) made TPDF graphs servable in-process;
 //! this crate puts a socket in front of it. Clients speak a
@@ -15,7 +16,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`frame`] | The wire codec: [`Frame`], [`FrameReader`], [`FrameError`] — checksummed, never panics on garbage |
-//! | [`server`] | [`NetServer`]: the poll-style readiness loop feeding the service |
+//! | [`server`] | [`NetServer`]: the event-driven readiness loop feeding the service — wakes on socket readiness, run completion, shutdown and eviction deadlines, never on a fixed tick |
 //! | [`client`] | [`NetClient`]: a small blocking client for tests and examples |
 //! | [`metrics`] | [`NetMetrics`]: the counted ledger, exportable via snapshot codec and Prometheus |
 //! | [`ofdm`] | [`ofdm::wire_fed_ofdm`]: the Figure 7 demodulator served over the wire |
@@ -32,13 +33,16 @@
 //! println!("serving on {}", server.local_addr());
 //! ```
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied crate-wide and re-allowed in exactly one place:
+// the `poll(2)` call in `poll.rs`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod frame;
 pub mod metrics;
 pub mod ofdm;
+mod poll;
 pub mod server;
 
 pub use client::{HelloAck, NetClient, NetClientError};

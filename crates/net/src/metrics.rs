@@ -41,6 +41,11 @@ pub struct NetMetrics {
     pub backoffs: AtomicU64,
     /// Connections dropped for protocol violations or wire garbage.
     pub protocol_errors: AtomicU64,
+    /// Hard `accept` failures (descriptor exhaustion); each one takes
+    /// the listener out of the poll set for a short back-off.
+    pub accept_errors: AtomicU64,
+    /// Failed readiness waits; the first one stops the server.
+    pub poll_failures: AtomicU64,
 }
 
 impl NetMetrics {
@@ -66,6 +71,8 @@ impl NetMetrics {
             results_out: self.results_out.load(Relaxed),
             backoffs: self.backoffs.load(Relaxed),
             protocol_errors: self.protocol_errors.load(Relaxed),
+            accept_errors: self.accept_errors.load(Relaxed),
+            poll_failures: self.poll_failures.load(Relaxed),
         }
     }
 }
@@ -102,6 +109,10 @@ pub struct NetMetricsSnapshot {
     pub backoffs: u64,
     /// Connections dropped for protocol violations or wire garbage.
     pub protocol_errors: u64,
+    /// Hard `accept` failures.
+    pub accept_errors: u64,
+    /// Failed readiness waits (the server stopped at the first).
+    pub poll_failures: u64,
 }
 
 impl NetMetricsSnapshot {
@@ -109,7 +120,8 @@ impl NetMetricsSnapshot {
     pub fn summary(&self) -> String {
         format!(
             "conns {} (refused {}, evicted {}), sessions {}, frames {}/{} in/out, \
-             records {}, results {}, backoffs {}, protocol errors {}",
+             records {}, results {}, backoffs {}, protocol errors {}, accept errors {}, \
+             poll failures {}",
             self.conns_accepted,
             self.conns_refused,
             self.conns_evicted,
@@ -120,6 +132,8 @@ impl NetMetricsSnapshot {
             self.results_out,
             self.backoffs,
             self.protocol_errors,
+            self.accept_errors,
+            self.poll_failures,
         )
     }
 
@@ -139,6 +153,8 @@ impl NetMetricsSnapshot {
         writer.field("results_out", self.results_out);
         writer.field("backoffs", self.backoffs);
         writer.field("protocol_errors", self.protocol_errors);
+        writer.field("accept_errors", self.accept_errors);
+        writer.field("poll_failures", self.poll_failures);
     }
 
     /// Reads a snapshot written by
@@ -163,6 +179,8 @@ impl NetMetricsSnapshot {
             results_out: reader.u64("results_out")?,
             backoffs: reader.u64("backoffs")?,
             protocol_errors: reader.u64("protocol_errors")?,
+            accept_errors: reader.u64("accept_errors")?,
+            poll_failures: reader.u64("poll_failures")?,
         })
     }
 
@@ -256,6 +274,16 @@ impl NetMetricsSnapshot {
             "Connections dropped for protocol violations",
             self.protocol_errors,
         );
+        expo.counter(
+            "tpdf_net_accept_errors_total",
+            "Hard accept failures, each backing the listener off",
+            self.accept_errors,
+        );
+        expo.counter(
+            "tpdf_net_poll_failures_total",
+            "Failed readiness waits; the server stops at the first",
+            self.poll_failures,
+        );
         expo.finish()
     }
 }
@@ -280,6 +308,8 @@ mod tests {
             results_out: 10,
             backoffs: 6,
             protocol_errors: 1,
+            accept_errors: 2,
+            poll_failures: 0,
         }
     }
 

@@ -1,16 +1,33 @@
-//! The non-blocking ingestion server: a poll-style readiness loop on
-//! `std::net` feeding [`tpdf_service::TpdfService`] sessions from TCP
-//! connections.
+//! The non-blocking ingestion server: an event-driven readiness loop
+//! on `std::net` feeding [`tpdf_service::TpdfService`] sessions from
+//! TCP connections.
 //!
 //! # Design
 //!
 //! One server thread owns a non-blocking listener and every client
-//! connection; each loop sweep accepts new clients, reads whatever
-//! bytes are ready, decodes complete frames, submits barriers to the
-//! service, flushes completed run results back, and retires dead
-//! connections. There are no external event libraries and no thread
-//! per connection: the pool behind the service does the compute, the
-//! sweep only moves bytes and frames.
+//! connection, and blocks in a single `poll(2)` over the listener,
+//! each connection and one wake descriptor (a socket pair). A
+//! connection waits for `POLLIN` unless its reads are paused or it is
+//! closing, and for `POLLOUT` while it has bytes queued; one with
+//! neither is left out of the set. The wake descriptor fires when the
+//! service files a run result (the server registers as a
+//! [`tpdf_service::ResultListener`]) and on shutdown. The poll timeout
+//! is the earliest idle or write-stall eviction deadline, so an idle
+//! server does not wake at all. After a hard `accept` failure
+//! (descriptor exhaustion) the listener sits out of the set for a
+//! short back-off, as the connection left in the backlog would keep
+//! reporting it ready.
+//!
+//! Each return from `poll` is followed by one sweep that does only
+//! what was signalled: accept when the listener is ready, read (one
+//! bounded chunk, for fairness) when a connection is readable, collect
+//! every result filed so far and retry parked barriers after a wake,
+//! flush queued bytes, and retire dead connections — then straight
+//! back to `poll`, which is level-triggered, so unread bytes report
+//! again. There are no
+//! external event libraries and no thread per connection: the pool
+//! behind the service does the compute, the loop only moves bytes and
+//! frames.
 //!
 //! # Backpressure, end to end
 //!
@@ -18,7 +35,7 @@
 //!
 //! * a `Barrier` refused by the session's bounded ingress queue
 //!   ([`tpdf_service::ServiceError::Backpressure`]) is **parked** and
-//!   retried each sweep; the client is told with a
+//!   retried whenever a run completes; the client is told with a
 //!   [`Frame::Backoff`]`(QueueFull)`;
 //! * a session's token feed beyond its configured high-water mark
 //!   pauses **socket reads** for that connection
@@ -43,8 +60,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,6 +74,7 @@ use tpdf_trace::{EventKind, Tracer};
 
 use crate::frame::{write_frame, BackoffReason, Frame, FrameReader};
 use crate::metrics::NetMetrics;
+use crate::poll::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
 /// Hard bound on buffered feed depth, in multiples of the configured
 /// high-water mark: a connection whose unconsumed records exceed
@@ -63,6 +82,12 @@ use crate::metrics::NetMetrics;
 /// with a protocol error — it is flooding records while ignoring
 /// `Backoff`, and nothing else bounds that memory.
 pub const FEED_HARD_CAP_RUNS: u64 = 64;
+
+/// How long the listener sits out of the poll set after a hard
+/// `accept` failure (descriptor exhaustion): the connection it could
+/// not take stays in the backlog and keeps the listener readable, so
+/// waiting on it would spin the loop until a descriptor frees.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Tuning knobs of the ingestion loop.
 #[derive(Debug, Clone)]
@@ -79,8 +104,6 @@ pub struct NetConfig {
     /// A connection whose outgoing buffer makes no progress for this
     /// long (a slow client not draining its results) is evicted.
     pub write_stall_timeout: Duration,
-    /// Sweep sleep when a pass makes no progress.
-    pub poll_interval: Duration,
     /// Feed high-water mark, in runs: buffered input tokens beyond
     /// `feed_runs × tokens_per_run` pause reads from the connection.
     pub feed_runs: u64,
@@ -93,7 +116,6 @@ impl Default for NetConfig {
             max_frame_bytes: 16 << 20,
             idle_timeout: Duration::from_secs(30),
             write_stall_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_micros(500),
             feed_runs: 2,
         }
     }
@@ -198,6 +220,7 @@ const CLOSE_PROTOCOL: u64 = 3;
 pub struct NetServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
     metrics: Arc<NetMetrics>,
     handle: Option<JoinHandle<()>>,
 }
@@ -224,6 +247,10 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
+        let waker = Arc::new(Waker::new()?);
+        // Weak: the service must not keep a dropped server's waker.
+        let weak: Weak<Waker> = Arc::downgrade(&waker);
+        service.add_result_listener(weak);
         let metrics = Arc::new(NetMetrics::new());
         let tracer = service.config().tracer.clone();
         let mut rt = Loop {
@@ -232,6 +259,9 @@ impl NetServer {
             apps,
             config,
             stop: Arc::clone(&stop),
+            waker: Arc::clone(&waker),
+            pollfds: Vec::new(),
+            accept_resumes: None,
             metrics: Arc::clone(&metrics),
             tracer,
             conns: Vec::new(),
@@ -243,6 +273,7 @@ impl NetServer {
         Ok(NetServer {
             local_addr,
             stop,
+            waker,
             metrics,
             handle: Some(handle),
         })
@@ -272,7 +303,8 @@ impl NetServer {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Relaxed);
+        self.stop.store(true, SeqCst);
+        self.waker.wake();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -312,7 +344,8 @@ struct Conn {
     closing: bool,
     bye_sent: bool,
     last_read: Instant,
-    /// Last instant the outgoing buffer made progress (or was empty).
+    /// Last instant the outgoing buffer made progress (or became
+    /// non-empty).
     last_write_progress: Instant,
     /// Set when the connection is finished; reaped at sweep end.
     dead: Option<u64>,
@@ -320,8 +353,34 @@ struct Conn {
 
 impl Conn {
     fn queue_frame(&mut self, frame: &Frame, metrics: &NetMetrics) {
+        if self.outbuf.is_empty() {
+            self.last_write_progress = Instant::now();
+        }
         write_frame(&mut self.outbuf, frame);
         metrics.frames_out.fetch_add(1, Relaxed);
+    }
+
+    /// What the connection waits for in `poll`: reads unless paused or
+    /// closing, writes while bytes are queued.
+    fn interest(&self) -> i16 {
+        let read = if self.paused || self.closing {
+            0
+        } else {
+            POLLIN
+        };
+        let write = if self.outbuf.is_empty() { 0 } else { POLLOUT };
+        read | write
+    }
+
+    /// When the connection is due for eviction, if ever: idle (no read
+    /// progress and no outstanding work) or write-stalled (queued bytes
+    /// making no progress).
+    fn deadline(&self, config: &NetConfig) -> Option<Instant> {
+        let idle = (self.pending.is_empty() && self.parked.is_empty() && !self.closing)
+            .then(|| self.last_read + config.idle_timeout);
+        let stalled = (!self.outbuf.is_empty())
+            .then(|| self.last_write_progress + config.write_stall_timeout);
+        idle.into_iter().chain(stalled).min()
     }
 }
 
@@ -331,24 +390,36 @@ struct Loop {
     apps: NetApps,
     config: NetConfig,
     stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
+    /// The poll set, reused across waits: the wake descriptor, the
+    /// listener, then one entry per connection in `conns` order.
+    pollfds: Vec<PollFd>,
+    /// While set, the listener stays out of the poll set until then
+    /// (see [`ACCEPT_BACKOFF`]).
+    accept_resumes: Option<Instant>,
     metrics: Arc<NetMetrics>,
     tracer: Option<Arc<Tracer>>,
     conns: Vec<Conn>,
     next_conn: u64,
 }
 
+/// Poll-set slots before the first connection's.
+const WAKE_SLOT: usize = 0;
+const LISTENER_SLOT: usize = 1;
+const FIRST_CONN_SLOT: usize = 2;
+
 impl Loop {
     fn run(&mut self) {
-        while !self.stop.load(Relaxed) {
-            let mut progress = false;
-            progress |= self.accept();
-            for i in 0..self.conns.len() {
-                progress |= self.sweep_conn(i);
+        while !self.stop.load(SeqCst) {
+            let timeout = self.fill_poll_set();
+            // Only resource exhaustion fails `poll`; without it there
+            // is no way to wait, so the server ends as on shutdown —
+            // counted, so the ledger shows it stopped serving.
+            if poll::wait(&mut self.pollfds, timeout).is_err() {
+                self.metrics.poll_failures.fetch_add(1, Relaxed);
+                break;
             }
-            self.reap();
-            if !progress {
-                std::thread::sleep(self.config.poll_interval);
-            }
+            self.sweep();
         }
         // Shutdown: cancel what is still live so pool work stops.
         for i in 0..self.conns.len() {
@@ -366,12 +437,74 @@ impl Loop {
         }
     }
 
-    fn accept(&mut self) -> bool {
-        let mut progress = false;
+    /// Rebuilds the poll set for the current connections and returns
+    /// how long `poll` may block: until the earliest eviction deadline
+    /// or accept back-off end, or indefinitely when there is none.
+    fn fill_poll_set(&mut self) -> Option<Duration> {
+        self.pollfds.clear();
+        self.pollfds.push(PollFd::new(self.waker.fd(), POLLIN));
+        let now = Instant::now();
+        self.accept_resumes = self.accept_resumes.filter(|&at| at > now);
+        let mut deadline = self.accept_resumes;
+        self.pollfds.push(if deadline.is_some() {
+            PollFd::ignored()
+        } else {
+            PollFd::new(self.listener.as_raw_fd(), POLLIN)
+        });
+        for i in 0..self.conns.len() {
+            self.maybe_resume(i);
+            let conn = &self.conns[i];
+            let interest = conn.interest();
+            // A hung-up descriptor reports `POLLHUP` whatever it asks
+            // for: one with nothing to wait for must stay out, or it
+            // would spin the loop.
+            self.pollfds.push(if interest == 0 {
+                PollFd::ignored()
+            } else {
+                PollFd::new(conn.stream.as_raw_fd(), interest)
+            });
+            if let Some(due) = conn.deadline(&self.config) {
+                deadline = Some(deadline.map_or(due, |d| d.min(due)));
+            }
+        }
+        deadline.map(|d| d.saturating_duration_since(Instant::now()))
+    }
+
+    /// Acts on what the last `poll` reported, connection by connection.
+    fn sweep(&mut self) {
+        let woken = self.pollfds[WAKE_SLOT].revents() != 0;
+        if woken {
+            // Before looking at results: see `Waker::reset`.
+            self.waker.reset();
+        }
+        if self.pollfds[LISTENER_SLOT].revents() != 0 {
+            self.accept();
+        }
+        let now = Instant::now();
+        for i in 0..self.conns.len() {
+            // Connections accepted just now have no slot yet.
+            let revents = self
+                .pollfds
+                .get(FIRST_CONN_SLOT + i)
+                .map_or(0, PollFd::revents);
+            if woken {
+                self.take_results(i);
+                self.retry_parked(i);
+            }
+            if revents & (POLLIN | POLLHUP | POLLERR) != 0 {
+                self.read_and_handle(i);
+            }
+            self.flush_writes(i);
+            self.finish_closing(i);
+            self.check_timeouts(i, now);
+        }
+        self.reap();
+    }
+
+    fn accept(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    progress = true;
                     if self.conns.len() >= self.config.max_conns {
                         self.metrics.conns_refused.fetch_add(1, Relaxed);
                         drop(stream);
@@ -411,34 +544,23 @@ impl Loop {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
+                Err(_) => {
+                    self.metrics.accept_errors.fetch_add(1, Relaxed);
+                    self.accept_resumes = Some(Instant::now() + ACCEPT_BACKOFF);
+                    break;
+                }
             }
         }
-        progress
-    }
-
-    /// One sweep over one connection; returns whether anything moved.
-    fn sweep_conn(&mut self, i: usize) -> bool {
-        let mut progress = false;
-        progress |= self.take_results(i);
-        progress |= self.retry_parked(i);
-        self.maybe_resume(i);
-        progress |= self.read_and_handle(i);
-        progress |= self.flush_writes(i);
-        self.finish_closing(i);
-        self.check_timeouts(i);
-        progress
     }
 
     /// Streams completed runs back as `Result` frames, in order.
-    fn take_results(&mut self, i: usize) -> bool {
+    fn take_results(&mut self, i: usize) {
         let Some(session) = self.conns[i].session else {
-            return false;
+            return;
         };
         if self.conns[i].dead.is_some() {
-            return false;
+            return;
         }
-        let mut progress = false;
         while let Some(&(seq, request)) = self.conns[i].pending.front() {
             let outcome = match self.service.try_take(session, request) {
                 Ok(None) => break,
@@ -467,33 +589,32 @@ impl Loop {
             let conn = &mut self.conns[i];
             conn.queue_frame(&frame, &self.metrics);
             self.metrics.results_out.fetch_add(1, Relaxed);
-            progress = true;
             if failed {
                 // A failed run desynchronises the capture stream; end
-                // the connection after the error is flushed.
+                // the connection once the results are flushed. Keep
+                // taking: results filed together (a cancel files every
+                // queued one at once) share one wake, and any left
+                // behind would never be woken for again.
                 conn.closing = true;
-                break;
             }
         }
-        progress
     }
 
-    /// Retries barriers parked on a full ingress queue.
-    fn retry_parked(&mut self, i: usize) -> bool {
+    /// Retries barriers parked on a full ingress queue (a queue slot
+    /// frees when a run completes, which wakes the loop).
+    fn retry_parked(&mut self, i: usize) {
         let Some(session) = self.conns[i].session else {
-            return false;
+            return;
         };
         if self.conns[i].dead.is_some() {
-            return false;
+            return;
         }
-        let mut progress = false;
         while let Some(&seq) = self.conns[i].parked.front() {
             match self.service.submit(session) {
                 Ok(request) => {
                     let conn = &mut self.conns[i];
                     conn.parked.pop_front();
                     conn.pending.push_back((seq, request));
-                    progress = true;
                 }
                 Err(ServiceError::Backpressure { .. }) => break,
                 Err(e) => {
@@ -502,7 +623,6 @@ impl Loop {
                 }
             }
         }
-        progress
     }
 
     /// Resumes reads once the backlog cleared — or once nothing in
@@ -510,7 +630,8 @@ impl Loop {
     /// barriers and no pending runs the feed can only drain after
     /// *more frames are read* (the next `Barrier` is still in the
     /// socket), so staying paused would wedge a legal client that
-    /// streamed records ahead of its barriers.
+    /// streamed records ahead of its barriers. Checked before every
+    /// wait, so a pause never outlives the state that caused it.
     fn maybe_resume(&mut self, i: usize) {
         let conn = &mut self.conns[i];
         if !conn.paused || conn.dead.is_some() {
@@ -525,11 +646,10 @@ impl Loop {
         }
     }
 
-    fn read_and_handle(&mut self, i: usize) -> bool {
+    fn read_and_handle(&mut self, i: usize) {
         if self.conns[i].closing || self.conns[i].dead.is_some() {
-            return false;
+            return;
         }
-        let mut progress = false;
         // A pause gates only the socket read — frames already received
         // keep decoding below, otherwise a `Barrier` sitting in the
         // reader behind the records that tripped the high-water mark
@@ -541,10 +661,9 @@ impl Loop {
                 match conn.stream.read(&mut buf) {
                     Ok(0) => {
                         self.disconnect(i);
-                        return true;
+                        return;
                     }
                     Ok(n) => {
-                        progress = true;
                         conn.last_read = Instant::now();
                         conn.reader.extend(&buf[..n]);
                         self.metrics.bytes_in.fetch_add(n as u64, Relaxed);
@@ -556,7 +675,7 @@ impl Loop {
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         self.disconnect(i);
-                        return true;
+                        return;
                     }
                 }
             }
@@ -566,16 +685,14 @@ impl Loop {
             if self.conns[i].dead.is_some() || self.conns[i].closing {
                 break;
             }
-            match self.conns[i].reader.next_frame() {
-                Ok(Some(frame)) => {
-                    progress = true;
+            match self.conns[i].reader.next_frame_with_len() {
+                Ok(Some((frame, len))) => {
                     self.metrics.frames_in.fetch_add(1, Relaxed);
-                    let len = frame.encode().len() as u64;
                     self.trace(
                         EventKind::FrameRecv,
                         self.conns[i].id,
                         frame.type_byte() as u64,
-                        len,
+                        len as u64,
                     );
                     self.handle_frame(i, frame);
                 }
@@ -586,7 +703,6 @@ impl Loop {
                 }
             }
         }
-        progress
     }
 
     fn handle_frame(&mut self, i: usize, frame: Frame) {
@@ -725,14 +841,10 @@ impl Loop {
         self.conns[i].queue_frame(&frame, &self.metrics);
     }
 
-    fn flush_writes(&mut self, i: usize) -> bool {
+    fn flush_writes(&mut self, i: usize) {
         let conn = &mut self.conns[i];
-        if conn.dead.is_some() {
-            return false;
-        }
-        if conn.outbuf.is_empty() {
-            conn.last_write_progress = Instant::now();
-            return false;
+        if conn.dead.is_some() || conn.outbuf.is_empty() {
+            return;
         }
         let mut written = 0;
         loop {
@@ -748,7 +860,7 @@ impl Loop {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.disconnect(i);
-                    return true;
+                    return;
                 }
             }
         }
@@ -758,7 +870,6 @@ impl Loop {
             conn.last_write_progress = Instant::now();
             self.metrics.bytes_out.fetch_add(written as u64, Relaxed);
         }
-        written > 0
     }
 
     /// Completes a clean `Bye` close once every result is flushed.
@@ -777,18 +888,12 @@ impl Loop {
         }
     }
 
-    fn check_timeouts(&mut self, i: usize) {
+    fn check_timeouts(&mut self, i: usize, now: Instant) {
         let conn = &self.conns[i];
         if conn.dead.is_some() {
             return;
         }
-        let idle = conn.last_read.elapsed() > self.config.idle_timeout
-            && conn.pending.is_empty()
-            && conn.parked.is_empty()
-            && !conn.closing;
-        let write_stalled = !conn.outbuf.is_empty()
-            && conn.last_write_progress.elapsed() > self.config.write_stall_timeout;
-        if idle || write_stalled {
+        if conn.deadline(&self.config).is_some_and(|due| now > due) {
             self.metrics.conns_evicted.fetch_add(1, Relaxed);
             self.conns[i].dead = Some(CLOSE_EVICTED);
         }

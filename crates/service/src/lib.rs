@@ -72,6 +72,6 @@ mod service;
 
 pub use metrics::{ServiceMetrics, SessionMetrics, SessionPhase};
 pub use service::{
-    AdmissionPolicy, RequestId, ServiceConfig, ServiceError, SessionCheckpoint, SessionId,
-    SessionInspection, SessionStatus, SloSpec, TpdfService,
+    AdmissionPolicy, RequestId, ResultListener, ServiceConfig, ServiceError, SessionCheckpoint,
+    SessionId, SessionInspection, SessionStatus, SloSpec, TpdfService,
 };

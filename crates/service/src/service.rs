@@ -4,7 +4,7 @@ use crate::metrics::{ServiceMetrics, SessionMetrics, SessionPhase};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 use tpdf_core::graph::TpdfGraph;
 use tpdf_runtime::executor::ClockMode;
@@ -200,6 +200,21 @@ impl From<RuntimeError> for ServiceError {
     fn from(value: RuntimeError) -> Self {
         ServiceError::Runtime(value)
     }
+}
+
+/// Told every time a request result becomes takeable through
+/// [`TpdfService::try_take`] — what an event-driven front end (the
+/// `tpdf-net` loop) waits on instead of polling. Registered with
+/// [`TpdfService::add_result_listener`].
+pub trait ResultListener: Send + Sync {
+    /// Called after results are filed (a completed or failed run, or
+    /// the queued requests dropped by [`TpdfService::cancel`]), once
+    /// they are visible and outside the service lock, on whichever
+    /// thread filed them: a pool worker, or the caller of
+    /// [`TpdfService::submit`] / [`TpdfService::cancel`]. One call may
+    /// cover several results, and a call may find nothing new to
+    /// take. It must not block and must not register listeners.
+    fn result_ready(&self);
 }
 
 /// Progress of one session, as reported by [`TpdfService::poll`].
@@ -409,6 +424,10 @@ struct Inner {
     migrations: u64,
 }
 
+/// See `Shared::before_install`.
+#[cfg(test)]
+type InstallHook = Box<dyn Fn(&JobTicket) + Send>;
+
 struct Shared {
     inner: Mutex<Inner>,
     /// Notified on every state change: completions, retirements,
@@ -416,6 +435,14 @@ struct Shared {
     /// on.
     cond: Condvar,
     config: ServiceConfig,
+    /// Told about every filed result; held weakly so a dropped
+    /// listener (a shut-down server) is pruned, not kept alive.
+    listeners: Mutex<Vec<Weak<dyn ResultListener>>>,
+    /// Test seam between pool submission and ticket installation in
+    /// [`Shared::run_dispatch`]: lets a unit test make a job outrun
+    /// its installation deterministically.
+    #[cfg(test)]
+    before_install: Mutex<Option<InstallHook>>,
     /// Source of per-session trace tags (the Chrome "process" ids):
     /// small positive integers, disjoint from the pool's self-assigned
     /// tags (which carry the top bit).
@@ -429,6 +456,19 @@ impl Shared {
             .tracer
             .as_deref()
             .filter(|tracer| tracer.is_enabled())
+    }
+
+    /// Tells every live [`ResultListener`] that a result was filed and
+    /// drops the dead ones. Must not hold the service lock.
+    fn notify_results(&self) {
+        let mut listeners = self.listeners.lock().expect("listener lock");
+        listeners.retain(|listener| match listener.upgrade() {
+            Some(listener) => {
+                listener.result_ready();
+                true
+            }
+            None => false,
+        });
     }
 }
 
@@ -527,6 +567,9 @@ impl TpdfService {
                 inner: Mutex::new(Inner::default()),
                 cond: Condvar::new(),
                 config,
+                listeners: Mutex::new(Vec::new()),
+                #[cfg(test)]
+                before_install: Mutex::new(None),
                 trace_tags: AtomicU32::new(0),
             }),
         }
@@ -542,6 +585,19 @@ impl TpdfService {
     /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.shared.config
+    }
+
+    /// Registers `listener` to be told about every result that becomes
+    /// takeable from now on (see [`ResultListener`]). Held weakly:
+    /// once the listener's last `Arc` is dropped it is no longer
+    /// called and is pruned at the next result. Any number of
+    /// listeners may share one service.
+    pub fn add_result_listener(&self, listener: Weak<dyn ResultListener>) {
+        self.shared
+            .listeners
+            .lock()
+            .expect("listener lock")
+            .push(listener);
     }
 
     /// Admits a new session: analyses `graph` under the session's own
@@ -1044,7 +1100,7 @@ impl TpdfService {
     ///
     /// [`ServiceError::UnknownSession`] when the id was never admitted.
     pub fn cancel(&self, session: SessionId) -> Result<(), ServiceError> {
-        let ticket = {
+        let (ticket, dropped_any) = {
             let mut inner = self.shared.inner.lock().expect("service lock");
             let Some(entry) = inner.sessions.get_mut(&session.0) else {
                 // Evicted sessions have nothing left to cancel; cancel
@@ -1059,6 +1115,7 @@ impl TpdfService {
             entry.phase = SessionPhase::Cancelled;
             let tag = entry.compiled.config().trace_tag;
             let dropped: Vec<u64> = entry.queue.drain(..).map(|(r, _)| r).collect();
+            let dropped_any = !dropped.is_empty();
             entry.runs_cancelled += dropped.len() as u64;
             for request in dropped {
                 entry
@@ -1085,8 +1142,11 @@ impl TpdfService {
                 }
             }
             Inner::maybe_retire(&mut inner, session.0);
-            ticket
+            (ticket, dropped_any)
         };
+        if dropped_any {
+            self.shared.notify_results();
+        }
         // Outside the service lock: cancel may finalise the job inline
         // and fire its completion callback, which re-locks the service.
         if let Some(ticket) = ticket {
@@ -1287,6 +1347,10 @@ impl Shared {
             let ticket = pool.submit_with(&pending.compiled, &pending.registry, move || {
                 Shared::on_job_complete(&callback_shared, &callback_pool, session, request);
             });
+            #[cfg(test)]
+            if let Some(hook) = &*shared.before_install.lock().expect("test seam lock") {
+                hook(&ticket);
+            }
             let mut inner = shared.inner.lock().expect("service lock");
             let placeholder_ok = inner.sessions.get(&session).is_some_and(|entry| {
                 entry
@@ -1322,6 +1386,9 @@ impl Shared {
             };
             drop(inner);
             shared.cond.notify_all();
+            if finished {
+                shared.notify_results();
+            }
             if let Some(handle) = halt_handle {
                 handle.cancel();
             }
@@ -1397,14 +1464,17 @@ impl Shared {
 
     /// Pool-side completion hook: records the finished run, dispatches
     /// the session's next request, retires drained sessions and wakes
-    /// every waiter. Runs on a pool worker thread with no pool lock
-    /// held.
+    /// every waiter and result listener. Runs on a pool worker thread
+    /// with no pool lock held.
     fn on_job_complete(shared: &Arc<Shared>, pool: &Arc<ExecutorPool>, session: u64, request: u64) {
         let pending = {
             let mut inner = shared.inner.lock().expect("service lock");
             Shared::record_completion(shared, &mut inner, session, request)
         };
         shared.cond.notify_all();
+        // Unconditional: when a cancellation or the installer got
+        // there first, this is one spare wake, which listeners absorb.
+        shared.notify_results();
         if let Some(pending) = pending {
             Shared::run_dispatch(shared, pool, pending);
         }
@@ -1883,5 +1953,167 @@ mod tests {
             service.wait(session, request),
             Err(ServiceError::UnknownRequest(session, request))
         );
+    }
+
+    /// Counts [`ResultListener`] calls and lets a test wait for one.
+    #[derive(Default)]
+    struct Heard {
+        count: Mutex<usize>,
+        cond: Condvar,
+    }
+
+    impl ResultListener for Heard {
+        fn result_ready(&self) {
+            *self.count.lock().unwrap() += 1;
+            self.cond.notify_all();
+        }
+    }
+
+    impl Heard {
+        fn count(&self) -> usize {
+            *self.count.lock().unwrap()
+        }
+
+        fn wait_for(&self, n: usize) {
+            let count = self.count.lock().unwrap();
+            let (count, timeout) = self
+                .cond
+                .wait_timeout_while(count, Duration::from_secs(5), |c| *c < n)
+                .unwrap();
+            assert!(!timeout.timed_out(), "heard {} of {n} results", *count);
+        }
+    }
+
+    /// A kernel gate: firings of the gated kernel block while closed.
+    /// The state is `(open, firings that reached the gate)`.
+    #[derive(Default)]
+    struct Gate {
+        state: Mutex<(bool, usize)>,
+        cond: Condvar,
+    }
+
+    impl Gate {
+        fn set(&self, open: bool) {
+            self.state.lock().unwrap().0 = open;
+            self.cond.notify_all();
+        }
+
+        fn pass(&self) {
+            let mut state = self.state.lock().unwrap();
+            state.1 += 1;
+            self.cond.notify_all();
+            drop(self.cond.wait_while(state, |(open, _)| !*open).unwrap());
+        }
+
+        /// Blocks until `n` firings in total have reached the gate.
+        fn wait_arrivals(&self, n: usize) {
+            let state = self.state.lock().unwrap();
+            drop(
+                self.cond
+                    .wait_while(state, |(_, arrived)| *arrived < n)
+                    .unwrap(),
+            );
+        }
+    }
+
+    fn gated_session(service: &TpdfService, gate: &Arc<Gate>) -> SessionId {
+        let mut registry = KernelRegistry::new();
+        let gate = Arc::clone(gate);
+        registry.register_fn("B", move |ctx| {
+            gate.pass();
+            ctx.fill_outputs_cycling(&[Token::Int(1)]);
+            Ok(())
+        });
+        service
+            .open_session(
+                &figure2_graph(),
+                RuntimeConfig::new(binding(1)).with_threads(1),
+                registry,
+            )
+            .unwrap()
+    }
+
+    #[test]
+    fn result_listeners_hear_every_path_that_files_a_result() {
+        let service = TpdfService::new(ServiceConfig::default().with_threads(1));
+        let heard = Arc::new(Heard::default());
+        let listener: Arc<dyn ResultListener> = heard.clone();
+        service.add_result_listener(Arc::downgrade(&listener));
+        let gate = Arc::new(Gate::default());
+        let session = gated_session(&service, &gate);
+
+        // Completion: the ticket is installed before the gated run can
+        // finish, so the pool-side callback files the result.
+        let request = service.submit(session).unwrap();
+        assert_eq!(heard.count(), 0, "nothing filed while the run is gated");
+        gate.set(true);
+        heard.wait_for(1);
+        assert!(matches!(
+            service.try_take(session, request),
+            Ok(Some(Ok(_)))
+        ));
+
+        // Race won by the job: it finishes, and its callback defers
+        // (with a spare wake, before anything is filed), before
+        // `run_dispatch` installs its ticket — so the dispatcher files
+        // the result and must wake listeners itself, on the submitting
+        // thread, before `submit` returns.
+        let callback_heard = Arc::clone(&heard);
+        *service.shared.before_install.lock().unwrap() =
+            Some(Box::new(move |ticket: &JobTicket| {
+                callback_heard.wait_for(2);
+                assert!(ticket.is_finished());
+            }));
+        let request = service.submit(session).unwrap();
+        *service.shared.before_install.lock().unwrap() = None;
+        assert_eq!(heard.count(), 3, "the installer notified synchronously");
+        assert!(matches!(
+            service.try_take(session, request),
+            Ok(Some(Ok(_)))
+        ));
+
+        // Cancel: the queued request's `Err(Cancelled)` is filed by
+        // `cancel` itself; the gated in-flight run follows through its
+        // completion callback once released.
+        gate.set(false);
+        let arrived = gate.state.lock().unwrap().1;
+        let running = service.submit(session).unwrap();
+        let queued = service.submit(session).unwrap();
+        // The run must be inside the kernel, or `cancel` could
+        // finalise it inline and notify twice.
+        gate.wait_arrivals(arrived + 1);
+        service.cancel(session).unwrap();
+        assert_eq!(heard.count(), 4, "cancel notified for the dropped request");
+        assert_eq!(
+            service.try_take(session, queued).unwrap(),
+            Some(Err(ServiceError::Runtime(RuntimeError::Cancelled)))
+        );
+        gate.set(true);
+        heard.wait_for(5);
+        assert!(service.try_take(session, running).unwrap().is_some());
+    }
+
+    #[test]
+    fn dropped_result_listeners_are_pruned_not_kept_alive() {
+        let service = TpdfService::new(ServiceConfig::default().with_threads(1));
+        let dead: Arc<dyn ResultListener> = Arc::new(Heard::default());
+        service.add_result_listener(Arc::downgrade(&dead));
+        let heard = Arc::new(Heard::default());
+        let live: Arc<dyn ResultListener> = heard.clone();
+        service.add_result_listener(Arc::downgrade(&live));
+        drop(dead);
+        let session = service
+            .open_session(
+                &figure2_graph(),
+                RuntimeConfig::new(binding(1)).with_threads(1),
+                KernelRegistry::new(),
+            )
+            .unwrap();
+        let request = service.submit(session).unwrap();
+        heard.wait_for(1);
+        service.wait(session, request).unwrap();
+        // Listeners are visited in registration order: by the time the
+        // live one heard the result, the dead one was dropped.
+        assert_eq!(service.shared.listeners.lock().unwrap().len(), 1);
     }
 }

@@ -5,6 +5,9 @@
 //! sessions stream — with a killed client flipping only its own
 //! session's health.
 
+mod common;
+
+use common::serial;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
@@ -63,6 +66,7 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 /// SLOs — every bound evaluated, zero incidents, service healthy.
 #[test]
 fn healthy_high_load_files_no_incidents() {
+    let _guard = serial();
     let tracer = Tracer::flight_recorder(2, 512);
     let service = Arc::new(TpdfService::new(
         ServiceConfig::default()
@@ -135,6 +139,7 @@ fn healthy_high_load_files_no_incidents() {
 /// flight recorder's tail at detection time.
 #[test]
 fn injected_stall_files_exactly_one_incident_with_recorder_tail() {
+    let _guard = serial();
     let tracer = Tracer::flight_recorder(1, 512);
     let service = Arc::new(TpdfService::new(
         ServiceConfig::default()
@@ -217,6 +222,7 @@ fn injected_stall_files_exactly_one_incident_with_recorder_tail() {
 /// health and files one incident with a non-empty recorder tail.
 #[test]
 fn wire_fed_sessions_with_live_admin_and_client_kill() {
+    let _guard = serial();
     const RUNS: u64 = 6;
     let variants = [
         ("ofdm/qpsk-16", 16, 2, 2, 2, 31u64),

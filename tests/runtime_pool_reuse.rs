@@ -11,22 +11,15 @@
 //! * `TPDF_TEST_PLACEMENT` — `worksteal`, `affinity` or `all`
 //!   (default `all`).
 
-use std::sync::{Mutex, OnceLock};
+mod common;
+
+use common::{in_own_process, os_thread_count, serial};
 use tpdf_suite::core::examples::figure2_graph;
 use tpdf_suite::manycore::MappingStrategy;
 use tpdf_suite::runtime::kernel::KernelRegistry;
 use tpdf_suite::runtime::{ExecutorPool, PlacementPolicy, RuntimeConfig};
 use tpdf_suite::sim::engine::{SimulationConfig, Simulator};
 use tpdf_suite::symexpr::Binding;
-
-/// Serialises the tests of this file: the OS-thread-count assertions
-/// must not race against another test creating or dropping a pool.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .expect("serial lock")
-}
 
 /// Pool sizes from `TPDF_TEST_THREADS`. A spec that parses to nothing
 /// is a hard error — running zero pools would pass vacuously.
@@ -66,26 +59,15 @@ fn binding(p: i64) -> Binding {
     Binding::from_pairs([("p", p)])
 }
 
-/// The process's current OS thread count, from `/proc/self/status`
-/// (Linux-only; `None` elsewhere, where the test falls back to the
-/// pool's own accounting).
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
-}
-
 /// N runs on one pool with *differing binding sequences*: no thread
 /// leak, per-run (not accumulated) metrics, firing counts matching the
 /// count-level reference of each run's own configuration.
 #[test]
 fn repeated_runs_leak_no_threads_and_reset_metrics() {
     let _guard = serial();
+    if !in_own_process("repeated_runs_leak_no_threads_and_reset_metrics") {
+        return;
+    }
     let graph = figure2_graph();
     let registry = KernelRegistry::new();
     for threads in pool_sizes() {
@@ -164,6 +146,9 @@ fn repeated_runs_leak_no_threads_and_reset_metrics() {
 #[test]
 fn concurrent_jobs_tally_worker_metrics_per_job() {
     let _guard = serial();
+    if !in_own_process("concurrent_jobs_tally_worker_metrics_per_job") {
+        return;
+    }
     let graph = figure2_graph();
     let registry = KernelRegistry::new();
     let pool = ExecutorPool::detached(4);

@@ -10,6 +10,9 @@
 //! CI matrix knob: `TPDF_SERVICE_THREADS` — pool worker count
 //! (default 4).
 
+mod common;
+
+use common::{in_own_process, os_thread_count, serial};
 use tpdf_suite::apps::edge_detection::{EdgeDetectionApp, EdgeDetector};
 use tpdf_suite::apps::fm_radio::FmRadioConfig;
 use tpdf_suite::apps::image::GrayImage;
@@ -37,19 +40,6 @@ fn service_threads() -> usize {
         .and_then(|spec| spec.trim().parse().ok())
         .filter(|&threads| threads > 0)
         .unwrap_or(4)
-}
-
-/// The process's current OS thread count, from `/proc/self/status`
-/// (Linux-only; `None` elsewhere).
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
 }
 
 /// One prepared session: the graph, its per-session configuration, the
@@ -248,6 +238,10 @@ fn figure2_spec() -> SessionSpec {
 
 #[test]
 fn concurrent_sessions_match_solo_runs_without_leaks_or_poisoning() {
+    let _guard = serial();
+    if !in_own_process("concurrent_sessions_match_solo_runs_without_leaks_or_poisoning") {
+        return;
+    }
     // Solo references first: scoped runs spawn-and-join their own
     // threads, so they are done long before the leak check baselines.
     let mut specs = Vec::new();
@@ -433,6 +427,10 @@ fn deadline_graph(work: u64, period: u64) -> TpdfGraph {
 /// must be refused — leaving the victim serving on the source.
 #[test]
 fn live_migration_between_services_preserves_streams() {
+    let _guard = serial();
+    if !in_own_process("live_migration_between_services_preserves_streams") {
+        return;
+    }
     let mut specs = Vec::new();
     specs.extend(edge_specs());
     specs.extend(ofdm_specs());
@@ -621,6 +619,10 @@ fn live_migration_between_services_preserves_streams() {
 /// services afterwards.
 #[test]
 fn drain_racing_migration_strands_no_waiter_and_keeps_ledgers_consistent() {
+    let _guard = serial();
+    if !in_own_process("drain_racing_migration_strands_no_waiter_and_keeps_ledgers_consistent") {
+        return;
+    }
     let specs = ofdm_specs();
     let threads = service_threads();
     let source = TpdfService::new(
