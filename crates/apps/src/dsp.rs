@@ -86,15 +86,27 @@ pub fn remove_cyclic_prefix(symbol: &[Complex], cp_len: usize) -> Vec<Complex> {
     symbol[cp_len..].to_vec()
 }
 
-/// In-place iterative radix-2 decimation-in-time FFT.
+/// Radix-2 decimation-in-time FFT into a fresh vector (see
+/// [`fft_in_place`]).
 ///
 /// # Panics
 ///
 /// Panics if the input length is not a power of two.
 pub fn fft(input: &[Complex]) -> Vec<Complex> {
-    let n = input.len();
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
     let mut data = input.to_vec();
+    fft_in_place(&mut data);
+    data
+}
+
+/// In-place iterative radix-2 decimation-in-time FFT: transforms
+/// `data` without allocating.
+///
+/// # Panics
+///
+/// Panics if the length is not a power of two.
+pub fn fft_in_place(data: &mut [Complex]) {
+    let n = data.len();
+    assert!(n.is_power_of_two(), "FFT length must be a power of two");
 
     // Bit-reversal permutation.
     let bits = n.trailing_zeros();
@@ -123,7 +135,6 @@ pub fn fft(input: &[Complex]) -> Vec<Complex> {
         }
         len <<= 1;
     }
-    data
 }
 
 /// Inverse FFT (used by tests to verify the round trip).
@@ -255,7 +266,57 @@ mod tests {
         let _ = demap(&random_samples(2, 0), 3);
     }
 
+    /// A self-contained copy of the allocating radix-2 FFT: the oracle
+    /// [`fft_in_place`] must match bit for bit, so the slab-native
+    /// kernels demodulate exactly like the reference path.
+    fn fft_oracle(input: &[Complex]) -> Vec<Complex> {
+        let n = input.len();
+        assert!(n.is_power_of_two(), "FFT length must be a power of two");
+        let mut data = input.to_vec();
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = (i as u32).reverse_bits() >> (32 - bits);
+            let j = j as usize;
+            if j > i {
+                data.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let angle = -2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::new(angle.cos(), angle.sin());
+            for start in (0..n).step_by(len) {
+                let mut w = Complex::new(1.0, 0.0);
+                for k in 0..len / 2 {
+                    let a = data[start + k];
+                    let b = data[start + k + len / 2].mul(w);
+                    data[start + k] = a.add(b);
+                    data[start + k + len / 2] = a.sub(b);
+                    w = w.mul(wlen);
+                }
+            }
+            len <<= 1;
+        }
+        data
+    }
+
     proptest! {
+        /// The in-place transform is bit-identical to the allocating
+        /// oracle (compared through `f64::to_bits`, so even a reordered
+        /// butterfly that rounds differently fails).
+        #[test]
+        fn prop_fft_in_place_is_bit_identical(seed in 0u64..500, log_n in 1u32..10) {
+            let samples = random_samples(1usize << log_n, seed);
+            let mut in_place = samples.clone();
+            fft_in_place(&mut in_place);
+            let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+                v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+            };
+            let expected = bits(&fft_oracle(&samples));
+            prop_assert_eq!(bits(&in_place), expected.clone());
+            prop_assert_eq!(bits(&fft(&samples)), expected);
+        }
+
         /// IFFT(FFT(x)) == x within numerical tolerance.
         #[test]
         fn prop_fft_roundtrip(seed in 0u64..200, log_n in 2u32..8) {

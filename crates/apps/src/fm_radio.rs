@@ -129,12 +129,17 @@ impl FmRadio {
         let mut out = Vec::with_capacity(samples.len());
         let mut previous = Complex::new(1.0, 0.0);
         for &s in samples {
-            // Phase difference via conj(previous) * current.
-            let rotated = Complex::new(previous.re, -previous.im).mul(s);
-            out.push(rotated.im.atan2(rotated.re));
+            out.push(Self::phase_step(previous, s));
             previous = s;
         }
         out
+    }
+
+    /// The phase advance from `previous` to `current`, via
+    /// conj(previous) · current — one demodulated audio sample.
+    pub fn phase_step(previous: Complex, current: Complex) -> f64 {
+        let rotated = Complex::new(previous.re, -previous.im).mul(current);
+        rotated.im.atan2(rotated.re)
     }
 
     /// A simple moving-average low-pass FIR (the `lowpass` kernel).

@@ -55,6 +55,12 @@
 //! against the identical session driven in memory; it is reported and
 //! exported but not enforced — loopback latency varies too much
 //! across hosts to gate on.
+//!
+//! The `ofdm_bulk` group runs the Figure 7 demodulator in memory at the
+//! wire benchmark's bulk shape (N=256, L=2, β=8, QPSK) on a pooled
+//! executor at 1 and 2 threads: there the OFDM kernels and the
+//! Select-Duplicate/Transaction fan-out dominate, so it tracks the
+//! slab-native kernel path. Reported and exported, not enforced.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use std::path::PathBuf;
@@ -67,8 +73,8 @@ use tpdf_net::ofdm::{run_records, wire_fed_ofdm};
 use tpdf_net::{NetApps, NetClient, NetConfig, NetServer};
 use tpdf_ops::{OpsConfig, OpsPlane};
 use tpdf_runtime::{
-    Executor, ExecutorPool, KernelRegistry, PayloadEncoding, PayloadRuntime, PlacementPolicy,
-    RuntimeConfig, Tracer,
+    Executor, ExecutorPool, KernelRegistry, OfdmRuntime, PayloadEncoding, PayloadRuntime,
+    PlacementPolicy, RuntimeConfig, Tracer,
 };
 use tpdf_service::{ServiceConfig, SessionId, TpdfService};
 use tpdf_sim::engine::{SimulationConfig, Simulator};
@@ -661,6 +667,42 @@ fn bench_net_loopback(c: &mut Criterion) {
     server.shutdown();
 }
 
+/// Bulk OFDM demodulation in memory: one Figure 7 run (2064 input
+/// samples) per measurement on a persistent pool, sink drained inside
+/// the timed region; throughput is input samples/sec.
+fn bench_ofdm_bulk(c: &mut Criterion) {
+    let port = OfdmRuntime::new(
+        OfdmConfig {
+            symbol_len: 256,
+            cyclic_prefix: 2,
+            bits_per_symbol: 2,
+            vectorization: 8,
+        },
+        7,
+    );
+    let graph = port.graph();
+    let (registry, capture) = port.registry();
+
+    let mut group = c.benchmark_group("runtime_throughput");
+    group.sample_size(sample_size());
+    group.throughput(Throughput::Elements(port.samples().len() as u64));
+    for threads in [1usize, 2] {
+        let pool = ExecutorPool::new(threads);
+        let config = RuntimeConfig::new(port.config().binding())
+            .with_threads(threads)
+            .with_mode_selector(port.mode_selector())
+            .with_value_trace(port.value_trace());
+        let executor = pool.executor(&graph, config).expect("executor");
+        group.bench_with_input(BenchmarkId::new("ofdm_bulk", threads), &threads, |b, _| {
+            b.iter(|| {
+                pool.run(&executor, &registry).expect("run completes");
+                capture.take_tokens()
+            })
+        });
+    }
+    group.finish();
+}
+
 /// *Best-observed* tokens/sec of the sample with the given id, if
 /// present: elements over the minimum sample time rather than the
 /// mean. The enforce guards compare near-identical code paths, where
@@ -877,5 +919,6 @@ criterion_group!(
     bench_payload,
     bench_checkpoint,
     bench_service_sessions,
-    bench_net_loopback
+    bench_net_loopback,
+    bench_ofdm_bulk
 );

@@ -48,10 +48,10 @@ pub fn wire_fed_ofdm(config: OfdmConfig, seed: u64, threads: usize) -> (NetApp, 
             // still steers the control actor with the constellation.
             registry.register_fn("SRC", move |ctx| {
                 for out in &mut ctx.outputs {
-                    out.tokens = match out.port {
-                        0 => feed.pop(out.rate as usize),
-                        _ => vec![Token::Int(m as i64); out.rate as usize],
-                    };
+                    match out.port {
+                        0 => feed.pop_into(out.rate as usize, &mut out.tokens),
+                        _ => out.write_cycled(&[Token::Int(m as i64)]),
+                    }
                 }
                 Ok(())
             });

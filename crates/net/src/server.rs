@@ -141,14 +141,14 @@ impl NetFeed {
         self.tokens.lock().expect("feed lock").extend(tokens);
     }
 
-    /// Pops up to `n` tokens from the front. A source kernel calls
-    /// this with its output rate; the protocol guarantees the tokens
-    /// are present (a `Barrier` is only submitted once a full run's
-    /// records arrived).
-    pub fn pop(&self, n: usize) -> Vec<Token> {
+    /// Moves up to `n` tokens from the front onto the end of `out`. A
+    /// source kernel calls this with its output rate and its output
+    /// slab; the protocol guarantees the tokens are present (a
+    /// `Barrier` is only submitted once a full run's records arrived).
+    pub fn pop_into(&self, n: usize, out: &mut Vec<Token>) {
         let mut tokens = self.tokens.lock().expect("feed lock");
         let n = n.min(tokens.len());
-        tokens.drain(..n).collect()
+        out.extend(tokens.drain(..n));
     }
 
     /// Buffered tokens.
@@ -335,8 +335,6 @@ struct Conn {
     pending: VecDeque<(u64, tpdf_service::RequestId)>,
     /// Barriers refused by ingress backpressure, retried each sweep.
     parked: VecDeque<u64>,
-    /// Sink tokens drained from the capture, split per run.
-    out_tokens: VecDeque<Token>,
     /// Socket reads paused (feed over high water); resumed when the
     /// feed drains and nothing is parked.
     paused: bool,
@@ -533,7 +531,6 @@ impl Loop {
                         credited: 0,
                         pending: VecDeque::new(),
                         parked: VecDeque::new(),
-                        out_tokens: VecDeque::new(),
                         paused: false,
                         closing: false,
                         bye_sent: false,
@@ -565,18 +562,19 @@ impl Loop {
             let outcome = match self.service.try_take(session, request) {
                 Ok(None) => break,
                 Ok(Some(Ok(_metrics))) => {
-                    // Move everything newly captured into the local
-                    // stream, then cut one run's worth off the front.
-                    let conn = &mut self.conns[i];
-                    if let Some(capture) = &conn.capture {
-                        conn.out_tokens.extend(capture.take_tokens());
-                    }
-                    let take = if conn.tokens_out_per_run == 0 {
-                        conn.out_tokens.len()
-                    } else {
-                        (conn.tokens_out_per_run as usize).min(conn.out_tokens.len())
+                    // Cut this run's tokens off the front of the
+                    // capture; runs completed back to back leave theirs
+                    // behind for the next `Result`.
+                    let conn = &self.conns[i];
+                    let take = match conn.tokens_out_per_run {
+                        0 => usize::MAX,
+                        n => n as usize,
                     };
-                    Ok(conn.out_tokens.drain(..take).collect::<Vec<_>>())
+                    Ok(conn
+                        .capture
+                        .as_ref()
+                        .map(|capture| capture.take_first(take))
+                        .unwrap_or_default())
                 }
                 Ok(Some(Err(e))) => Err(e.to_string()),
                 // The session vanished (evicted/cancelled elsewhere):

@@ -10,12 +10,12 @@
 //! can be read back after the run — that is what the cross-validation
 //! suite compares against the direct (graph-free) computation.
 
-use crate::kernel::KernelRegistry;
+use crate::kernel::{FiringContext, KernelRegistry};
 use crate::token::{Token, TokenBytes};
 use crate::RuntimeError;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use tpdf_apps::dsp::{demap, fft, random_samples, remove_cyclic_prefix, Complex};
+use tpdf_apps::dsp::{fft_in_place, qam16_demap, qpsk_demap, random_samples, Complex};
 use tpdf_apps::edge_detection::{detector_node_name, EdgeDetectionApp, EdgeDetector};
 use tpdf_apps::fm_radio::{FmRadio, FmRadioConfig};
 use tpdf_apps::image::GrayImage;
@@ -38,16 +38,25 @@ impl OutputCapture {
     }
 
     /// Registers the named node as a capturing sink in `registry`.
+    ///
+    /// A sink without outputs moves its input slabs' tokens into the
+    /// capture; one that still has outputs (or emits control, whose
+    /// mode is read from the inputs after the firing) clones them and
+    /// forwards.
     pub fn install(&self, registry: &mut KernelRegistry, node: &str) {
         let tokens = Arc::clone(&self.tokens);
         registry.register_fn(node, move |ctx| {
-            let consumed = ctx.concatenated_inputs();
-            tokens
-                .lock()
-                .expect("capture lock")
-                .extend(consumed.iter().cloned());
-            // A sink may still have outputs in some graphs; forward.
-            ctx.fill_outputs_cycling(&consumed);
+            let drain = ctx.outputs.is_empty() && !ctx.emits_control;
+            let mut captured = tokens.lock().expect("capture lock");
+            for input in &mut ctx.inputs {
+                if drain {
+                    captured.append(&mut input.tokens);
+                } else {
+                    captured.extend_from_slice(&input.tokens);
+                }
+            }
+            drop(captured);
+            ctx.fill_outputs_from_inputs();
             Ok(())
         });
     }
@@ -57,6 +66,19 @@ impl OutputCapture {
     /// capture.
     pub fn take_tokens(&self) -> Vec<Token> {
         std::mem::take(&mut *self.tokens.lock().expect("capture lock"))
+    }
+
+    /// Drains the first `n` captured tokens (fewer when fewer were
+    /// captured) — one run's worth when later runs already appended
+    /// theirs. A capture holding no more than `n` tokens is moved out
+    /// without copying.
+    pub fn take_first(&self, n: usize) -> Vec<Token> {
+        let mut tokens = self.tokens.lock().expect("capture lock");
+        if n >= tokens.len() {
+            std::mem::take(&mut *tokens)
+        } else {
+            tokens.drain(..n).collect()
+        }
     }
 
     /// Clones the captured-but-untaken tokens without draining them —
@@ -266,7 +288,8 @@ impl OfdmRuntime {
     /// `SRC` replays the generated symbols, `RCP` strips cyclic
     /// prefixes, `FFT` transforms each symbol, `QPSK`/`QAM` demap, and
     /// the Transaction forwards the constellation selected by the
-    /// control token to the capturing `SNK`.
+    /// control token to the capturing `SNK`. Every kernel reads its
+    /// input slab in place and pushes straight into its output slab.
     pub fn registry(&self) -> (KernelRegistry, OutputCapture) {
         let mut registry = KernelRegistry::new();
         let config = *self.demod.config();
@@ -274,58 +297,45 @@ impl OfdmRuntime {
         let cp = config.cyclic_prefix;
         let m = config.bits_per_symbol;
 
-        let samples: Vec<Token> = self
-            .symbols
-            .iter()
-            .flat_map(|symbol| symbol.iter().map(|&c| Token::Complex(c)))
-            .collect();
+        let samples = self.samples();
         registry.register_fn("SRC", move |ctx| {
             // Port 0: the β(N+L) time-domain samples; port 1: the active
             // constellation (M) towards the control actor.
             for out in &mut ctx.outputs {
-                out.tokens = match out.port {
-                    0 => samples.iter().take(out.rate as usize).cloned().collect(),
-                    _ => vec![Token::Int(m as i64); out.rate as usize],
-                };
+                match out.port {
+                    0 => out.write_cycled(&samples),
+                    _ => out.write_cycled(&[Token::Int(m as i64)]),
+                }
             }
             Ok(())
         });
 
         registry.register_fn("RCP", move |ctx| {
-            let samples = complex_inputs(ctx)?;
-            let trimmed: Vec<Token> = samples
-                .chunks(n + cp)
-                .flat_map(|symbol| remove_cyclic_prefix(symbol, cp))
-                .map(Token::Complex)
-                .collect();
-            ctx.fill_outputs_cycling(&trimmed);
+            let (node, input, out) = one_to_one(ctx);
+            for symbol in input.chunks(n + cp) {
+                for token in symbol.iter().skip(cp) {
+                    out.push(Token::Complex(sample(node, token, Token::as_complex)?));
+                }
+            }
             Ok(())
         });
 
         registry.register_fn("FFT", move |ctx| {
-            let samples = complex_inputs(ctx)?;
-            let spectrum: Vec<Token> = samples
-                .chunks(n)
-                .flat_map(fft)
-                .map(Token::Complex)
-                .collect();
-            ctx.fill_outputs_cycling(&spectrum);
+            let (node, input, out) = one_to_one(ctx);
+            let mut symbol = Vec::with_capacity(n);
+            for chunk in input.chunks(n) {
+                symbol.clear();
+                for token in chunk {
+                    symbol.push(sample(node, token, Token::as_complex)?);
+                }
+                fft_in_place(&mut symbol);
+                out.extend(symbol.iter().map(|&c| Token::Complex(c)));
+            }
             Ok(())
         });
 
-        registry.register_fn("QPSK", move |ctx| {
-            let spectrum = complex_inputs(ctx)?;
-            let bits: Vec<Token> = demap(&spectrum, 2).into_iter().map(Token::Byte).collect();
-            ctx.fill_outputs_cycling(&bits);
-            Ok(())
-        });
-
-        registry.register_fn("QAM", move |ctx| {
-            let spectrum = complex_inputs(ctx)?;
-            let bits: Vec<Token> = demap(&spectrum, 4).into_iter().map(Token::Byte).collect();
-            ctx.fill_outputs_cycling(&bits);
-            Ok(())
-        });
+        registry.register_fn("QPSK", demapper(qpsk_demap));
+        registry.register_fn("QAM", demapper(qam16_demap));
 
         let capture = OutputCapture::new();
         capture.install(&mut registry, "SNK");
@@ -481,32 +491,46 @@ impl FmRadioRuntime {
             Ok(())
         });
 
+        // The moving averages sum each window in the order
+        // `FmRadio::low_pass` does, so the audio equals the reference.
         registry.register_fn("lowpass", move |ctx| {
-            let filtered: Vec<Token> = Self::lowpass_block(&complex_inputs(ctx)?)
-                .into_iter()
-                .map(Token::Complex)
-                .collect();
-            ctx.fill_outputs_cycling(&filtered);
+            let (node, input, out) = one_to_one(ctx);
+            for end in 0..input.len() {
+                let window = &input[end.saturating_sub(Self::LOWPASS_TAPS - 1)..=end];
+                let (mut re, mut im) = (0.0, 0.0);
+                for token in window {
+                    let c = sample(node, token, Token::as_complex)?;
+                    (re, im) = (re + c.re, im + c.im);
+                }
+                let len = window.len() as f64;
+                out.push(Token::Complex(Complex::new(re / len, im / len)));
+            }
             Ok(())
         });
 
         registry.register_fn("demod", move |ctx| {
-            let audio: Vec<Token> = FmRadio::fm_demodulate(&complex_inputs(ctx)?)
-                .into_iter()
-                .map(Token::Float)
-                .collect();
-            ctx.fill_outputs_cycling(&audio);
+            let (node, input, out) = one_to_one(ctx);
+            let mut previous = Complex::new(1.0, 0.0);
+            for token in input {
+                let current = sample(node, token, Token::as_complex)?;
+                out.push(Token::Float(FmRadio::phase_step(previous, current)));
+                previous = current;
+            }
             Ok(())
         });
 
         for band in 0..self.radio.config().bands {
+            let gain = Self::band_gain(band);
             registry.register_fn(format!("band{band}"), move |ctx| {
-                let audio = float_inputs(ctx)?;
-                let shaped: Vec<Token> = Self::band_transform(band, &audio)
-                    .into_iter()
-                    .map(Token::Float)
-                    .collect();
-                ctx.fill_outputs_cycling(&shaped);
+                let (node, input, out) = one_to_one(ctx);
+                for end in 0..input.len() {
+                    let window = &input[end.saturating_sub(band + 1)..=end];
+                    let mut sum = 0.0;
+                    for token in window {
+                        sum += sample(node, token, Token::as_float)?;
+                    }
+                    out.push(Token::Float(sum / window.len() as f64 * gain));
+                }
                 Ok(())
             });
         }
@@ -638,30 +662,38 @@ impl PayloadRuntime {
     }
 }
 
-/// The complex payloads of every consumed token, in order.
-fn complex_inputs(ctx: &crate::kernel::FiringContext) -> Result<Vec<Complex>, RuntimeError> {
-    ctx.concatenated_inputs()
-        .iter()
-        .map(|t| {
-            t.as_complex().ok_or_else(|| RuntimeError::KernelFailed {
-                node: ctx.node.to_string(),
-                message: format!("expected a complex sample, got {t}"),
-            })
-        })
-        .collect()
+/// The node name, the input slab and the (empty, pre-sized) output slab
+/// of a kernel with one data input and one data output — the shape of
+/// every DSP kernel in the Figure 7 and FM-radio graphs.
+fn one_to_one(ctx: &mut FiringContext) -> (&str, &[Token], &mut Vec<Token>) {
+    (
+        &*ctx.node,
+        &ctx.inputs[0].tokens,
+        &mut ctx.outputs[0].tokens,
+    )
 }
 
-/// The float payloads of every consumed token, in order.
-fn float_inputs(ctx: &crate::kernel::FiringContext) -> Result<Vec<f64>, RuntimeError> {
-    ctx.concatenated_inputs()
-        .iter()
-        .map(|t| {
-            t.as_float().ok_or_else(|| RuntimeError::KernelFailed {
-                node: ctx.node.to_string(),
-                message: format!("expected an audio sample, got {t}"),
-            })
-        })
-        .collect()
+/// A `QPSK`/`QAM` kernel: demaps every carrier of the input slab with
+/// `demap` and pushes its bits into the output slab.
+fn demapper<const BITS: usize>(
+    demap: fn(Complex) -> [u8; BITS],
+) -> impl Fn(&mut FiringContext) -> Result<(), RuntimeError> + Send + Sync {
+    move |ctx| {
+        let (node, input, out) = one_to_one(ctx);
+        for token in input {
+            out.extend(demap(sample(node, token, Token::as_complex)?).map(Token::Byte));
+        }
+        Ok(())
+    }
+}
+
+/// The sample `view` reads from `token` (`Token::as_complex`,
+/// `Token::as_float`), or the error naming `node`.
+fn sample<T>(node: &str, token: &Token, view: fn(&Token) -> Option<T>) -> Result<T, RuntimeError> {
+    view(token).ok_or_else(|| RuntimeError::KernelFailed {
+        node: node.to_string(),
+        message: format!("unexpected token {token}"),
+    })
 }
 
 #[cfg(test)]

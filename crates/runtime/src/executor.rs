@@ -646,6 +646,22 @@ struct Claim {
     record_deadline: bool,
 }
 
+/// Outcome of one [`Engine::try_fire`] attempt.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Attempt {
+    /// A firing was executed (successfully or not — errors halt the
+    /// run through the park state).
+    Fired,
+    /// This worker examined the node under its claim and found it not
+    /// claimable (or had no budget left).
+    Idle,
+    /// Another worker held the node's claim, so this worker never
+    /// examined it. The holder's own verdict may predate a completion
+    /// this worker already observed, so the hunt proves nothing about
+    /// the node and must not back a stall verdict.
+    Contended,
+}
+
 /// Per-worker scratch threaded through the firing path: the local
 /// firing counter that drives the 1-in-8 sampling cadence, the cached
 /// trace timestamp that unsampled firings stamp their events with —
@@ -1959,7 +1975,7 @@ impl Engine {
             // 3. Ready-queue hint: own queue first; foreign queues only
             //    when stealing is allowed.
             if let Some((node, stolen)) = self.next_hint(state, me, steal_ok) {
-                if self.try_fire(
+                let attempt = self.try_fire(
                     state,
                     me,
                     node,
@@ -1968,7 +1984,8 @@ impl Engine {
                     start,
                     real_time,
                     &mut scratch,
-                ) {
+                );
+                if attempt == Attempt::Fired {
                     starved = 0;
                 }
                 continue;
@@ -1976,11 +1993,12 @@ impl Engine {
             // 4. Fallback scan: own (home) nodes always; every node
             //    once stealing is allowed.
             let workers = state.queues.len();
+            let mut contended = false;
             let fired = self.scan_order.iter().any(|&node| {
                 if !steal_ok && !self.is_home(state, node, me, workers) {
                     return false;
                 }
-                self.try_fire(
+                match self.try_fire(
                     state,
                     me,
                     node,
@@ -1989,7 +2007,14 @@ impl Engine {
                     start,
                     real_time,
                     &mut scratch,
-                )
+                ) {
+                    Attempt::Fired => true,
+                    Attempt::Idle => false,
+                    Attempt::Contended => {
+                        contended = true;
+                        false
+                    }
+                }
             });
             if fired {
                 starved = 0;
@@ -2004,8 +2029,9 @@ impl Engine {
                 std::thread::yield_now();
                 continue;
             }
-            // 5. Nothing claimable anywhere: park (or report a stall).
-            self.park(state, me, epoch, start);
+            // 5. Nothing claimable anywhere: park (or report a stall,
+            //    unless some node went unexamined).
+            self.park(state, me, epoch, !contended, start);
         };
         state.flush_arena(scratch.arena.stats());
         stood_down
@@ -2161,10 +2187,10 @@ impl Engine {
         None
     }
 
-    /// Attempts to claim and run one firing of `node`. Returns `true`
-    /// when a firing was executed (successfully or not — errors halt
-    /// the run through the park state). `stolen` marks a hint popped
-    /// from a foreign queue, for the per-worker steal metric.
+    /// Attempts to claim and run one firing of `node`, reporting
+    /// whether it fired, was examined and found idle, or was held by
+    /// another worker. `stolen` marks a hint popped from a foreign
+    /// queue, for the per-worker steal metric.
     #[allow(clippy::too_many_arguments)]
     fn try_fire(
         &self,
@@ -2176,30 +2202,30 @@ impl Engine {
         start: Instant,
         real_time: bool,
         scratch: &mut FireScratch,
-    ) -> bool {
+    ) -> Attempt {
         let info = &self.nodes[node];
         if real_time && info.is_clock {
-            return false;
+            return Attempt::Idle;
         }
         let ns = &state.nodes[node];
         if ns.budget.load(Ordering::Acquire) == 0 {
-            return false;
+            return Attempt::Idle;
         }
         // `in_flight` brackets the whole attempt (not just held claims)
         // so the stall detector in `park` cannot observe a moment where
         // a worker is about to fire yet nothing appears active.
         state.in_flight.fetch_add(1, Ordering::SeqCst);
-        let fired = if ns
+        let attempt = if ns
             .claimed
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
             .is_err()
         {
-            false
+            Attempt::Contended
         } else {
             match self.try_claim_node(state, node, real_time, scratch) {
                 None => {
                     ns.claimed.store(false, Ordering::Release);
-                    false
+                    Attempt::Idle
                 }
                 Some(claim) => {
                     // A boundary crossing: a hint stolen from a foreign
@@ -2215,12 +2241,12 @@ impl Engine {
                         Ok(()) => self.finish_firing(state, me, node, scratch),
                         Err(error) => self.fail(state, error),
                     }
-                    true
+                    Attempt::Fired
                 }
             }
         };
         state.in_flight.fetch_sub(1, Ordering::SeqCst);
-        fired
+        attempt
     }
 
     /// Executes a claimed firing and publishes its outputs. One in
@@ -2560,6 +2586,7 @@ impl Engine {
             deadline_missed: claim.deadline_missed,
             vote_failed: false,
             emitted_mode: None,
+            emits_control: !info.control_outputs.is_empty(),
         };
         match registry.get(&info.name) {
             Some(behavior) => behavior.fire(&mut ctx)?,
@@ -2939,22 +2966,38 @@ impl Engine {
     /// Parks an idle worker — or reports a stall.
     ///
     /// Stall soundness: `epoch` was captured before the failed hunt for
-    /// work. If it is still unchanged here, no firing has completed
-    /// since, so the hunt's "nothing claimable" verdict still describes
-    /// the current state; if additionally `in_flight == 0`, no worker
-    /// is attempting or holding a claim (attempts bracket `in_flight`),
-    /// and if no real-time clock tick is pending either, the graph can
-    /// never make progress again.
-    fn park(&self, state: &RunState, me: usize, epoch: u64, start: Instant) {
+    /// work. If `in_flight == 0`, no worker is attempting or holding a
+    /// claim (attempts bracket `in_flight`); if the epoch, read *after*
+    /// that, is still unchanged, no firing has completed since the hunt
+    /// began, so the hunt's "nothing claimable" verdict still describes
+    /// the current state; and if no real-time clock tick is pending
+    /// either, the graph can never make progress again. The order of
+    /// the two reads matters: a completing worker bumps the epoch
+    /// before it leaves `in_flight`, so reading the epoch first could
+    /// see the value before the bump and `in_flight` after the leave,
+    /// and miss that completion in both. The completion that runs an
+    /// iteration barrier is the usual case: the hunt saw every budget
+    /// at zero just before the barrier republished them.
+    ///
+    /// `examined_all` is false when the hunt lost a claim race: the
+    /// holder may have judged that node before a completion this
+    /// worker's hunt already observed (the epoch was captured after
+    /// it), then released it unfired and left `in_flight` again. The
+    /// node is then claimable yet no firing can be pending, so such a
+    /// hunt only parks. The holder goes on hunting itself, so a real
+    /// stall is still reported, by the holder or by this worker's next
+    /// hunt after the stall timeout.
+    fn park(&self, state: &RunState, me: usize, epoch: u64, examined_all: bool, start: Instant) {
         state.parked.fetch_add(1, Ordering::SeqCst);
         let guard = state.park.lock().expect("park lock");
+        let idle = state.in_flight.load(Ordering::SeqCst) == 0;
         let stale = state.epoch.load(Ordering::SeqCst) != epoch;
         if !stale && !state.halt.load(Ordering::SeqCst) {
             let next_tick = match &self.config.clock_mode {
                 ClockMode::RealTime { time_unit } => self.next_tick_in(state, start, *time_unit),
                 ClockMode::Virtual => None,
             };
-            if state.in_flight.load(Ordering::SeqCst) == 0 && next_tick.is_none() {
+            if examined_all && idle && next_tick.is_none() {
                 let mut guard = guard;
                 if guard.error.is_none() {
                     guard.error = Some(self.stall_error(state));
@@ -3348,6 +3391,68 @@ mod tests {
         let modes = &metrics.mode_sequences[c.0];
         assert!(modes.contains(&Mode::SelectOne(0)));
         assert!(modes.contains(&Mode::SelectOne(1)));
+    }
+
+    #[test]
+    fn control_actor_with_data_outputs_keeps_its_inputs_for_the_mode() {
+        use tpdf_core::control::{TableTrace, ValueMapSelector};
+
+        // `ctl` forwards its consumed value to `log` under the built-in
+        // forwarding (equal rates, so a regular kernel would hand the
+        // slab over) and must still select `tran`'s input from it.
+        let g = TpdfGraph::builder()
+            .kernel("src")
+            .control("ctl")
+            .kernel("log")
+            .kernel_with("tran", KernelKind::Transaction { votes_required: 0 }, 1)
+            .kernel("snk")
+            .channel("src", "ctl", RateSeq::constant(1), RateSeq::constant(1), 0)
+            .channel("ctl", "log", RateSeq::constant(1), RateSeq::constant(1), 0)
+            .control_channel("ctl", "tran", RateSeq::constant(1), RateSeq::constant(1))
+            .channel_with_priority(
+                "src",
+                "tran",
+                RateSeq::constant(1),
+                RateSeq::constant(1),
+                0,
+                1,
+            )
+            .channel_with_priority(
+                "src",
+                "tran",
+                RateSeq::constant(1),
+                RateSeq::constant(1),
+                0,
+                2,
+            )
+            .channel("tran", "snk", RateSeq::constant(1), RateSeq::constant(1), 0)
+            .build()
+            .unwrap();
+        let mut registry = KernelRegistry::new();
+        registry.register_fn("src", |ctx| {
+            ctx.fill_outputs_cycling(&[Token::Int((ctx.ordinal % 2) as i64)]);
+            Ok(())
+        });
+        let log = crate::cases::OutputCapture::new();
+        log.install(&mut registry, "log");
+        let selector: Arc<dyn ModeSelector> = Arc::new(ValueMapSelector::new(
+            [(0, Mode::SelectOne(0)), (1, Mode::SelectOne(1))],
+            Mode::WaitAll,
+        ));
+        let label = g.channels().next().map(|(_, c)| c.label.clone()).unwrap();
+        let config = RuntimeConfig::new(Binding::new())
+            .with_threads(2)
+            .with_iterations(4)
+            .with_mode_selector(selector)
+            .with_value_trace(TableTrace::new([(label, vec![0, 1])]).shared());
+        let reference = sim_reference(&g, &config);
+        let metrics = Executor::new(&g, config).unwrap().run(&registry).unwrap();
+        let ctl = g.node_by_name("ctl").unwrap();
+        let expected: Vec<Mode> = (0..4).map(|i| Mode::SelectOne(i % 2)).collect();
+        assert_eq!(metrics.mode_sequences[ctl.0], expected);
+        assert_eq!(metrics.mode_sequences, reference.mode_sequences);
+        let values: Vec<Token> = (0..4).map(|i| Token::Int(i % 2)).collect();
+        assert_eq!(log.take_tokens(), values);
     }
 
     #[test]

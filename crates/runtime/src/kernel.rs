@@ -19,6 +19,39 @@
 //!   markers when the firing consumed nothing), which keeps rate-only
 //!   graphs — e.g. the Figure 2 running example — executable without any
 //!   registration.
+//!
+//! When the built-ins forward a single input slab, the last output
+//! whose rate equals the slab's length receives the slab itself by
+//! swap; only the other outputs are filled with clones. A control
+//! actor is the exception ([`FiringContext::emits_control`]): the
+//! executor computes its mode from its inputs *after* the firing, so
+//! its input slabs are never moved.
+//!
+//! # Writing a kernel
+//!
+//! A firing's data lives in slabs: each [`PortInput::tokens`] is the
+//! slab popped from the channel ring, each [`PortOutput::tokens`] an
+//! empty slab the executor already sized to the port's rate. A
+//! behaviour reads its input slabs in place and pushes its results
+//! straight into the output slabs — no intermediate `Vec` per firing.
+//! For a one-in, one-out kernel whose rates are equal:
+//!
+//! ```
+//! # use tpdf_runtime::{FiringContext, RuntimeError, Token};
+//! fn negate(ctx: &mut FiringContext) -> Result<(), RuntimeError> {
+//!     let FiringContext { inputs, outputs, .. } = ctx;
+//!     for token in &inputs[0].tokens {
+//!         outputs[0].tokens.push(Token::Int(-token.as_scalar()));
+//!     }
+//!     Ok(())
+//! }
+//! ```
+//!
+//! [`FiringContext::concatenated_inputs`] and
+//! [`FiringContext::fill_outputs_cycling`] are the allocating
+//! convenience path: a fresh concatenation in, clones of a finished
+//! result cycled out — fine for coarse kernels (one image per firing),
+//! a measurable cost for sample-per-token streams.
 
 use crate::token::Token;
 use crate::RuntimeError;
@@ -102,6 +135,12 @@ pub struct FiringContext {
     /// the executor compute the mode from the configured
     /// [`tpdf_core::control::ModeSelector`].
     pub emitted_mode: Option<Mode>,
+    /// Set by the executor when the node has control outputs. Unless
+    /// the behaviour calls [`FiringContext::set_mode`], their mode is
+    /// computed from `inputs` *after* the behaviour returns, so the
+    /// input slabs must stay in place: the built-in forwarding clones
+    /// instead of moving them.
+    pub emits_control: bool,
 }
 
 impl FiringContext {
@@ -120,8 +159,10 @@ impl FiringContext {
 
     /// All consumed tokens, port after port, oldest first.
     ///
-    /// This allocates a fresh concatenation; behaviours reading a
-    /// single port should use [`FiringContext::input_tokens`] instead.
+    /// This allocates a fresh concatenation (the convenience path, see
+    /// the [module docs](self)); behaviours should read
+    /// [`PortInput::tokens`] or [`FiringContext::input_tokens`] in
+    /// place instead.
     pub fn concatenated_inputs(&self) -> Vec<Token> {
         self.inputs
             .iter()
@@ -155,8 +196,10 @@ impl FiringContext {
         self.emitted_mode = Some(mode);
     }
 
-    /// Fills every output port by cycling through `source` (or with
-    /// [`Token::Unit`] markers when `source` is empty).
+    /// Fills every output port with clones of `source` cycled to its
+    /// rate (or with [`Token::Unit`] markers when `source` is empty) —
+    /// the allocating convenience path for a result computed into a
+    /// separate buffer.
     pub fn fill_outputs_cycling(&mut self, source: &[Token]) {
         for out in &mut self.outputs {
             out.write_cycled(source);
@@ -165,33 +208,68 @@ impl FiringContext {
 
     /// Fills every output port by cycling through the concatenated
     /// input stream *without materialising the concatenation* — the
-    /// built-in forwarding semantics on the slab API.
+    /// built-in forwarding semantics on the slab API. A single input
+    /// slab is handed to an output of equal rate instead of cloned
+    /// (see the [module docs](self)).
     pub fn fill_outputs_from_inputs(&mut self) {
-        let total: usize = self.inputs.iter().map(|p| p.tokens.len()).sum();
-        let (inputs, outputs) = (&self.inputs, &mut self.outputs);
-        // One participating port is the overwhelmingly common shape;
-        // it cycles through `write_cycled_into`'s slice fast path
-        // instead of the per-token chained iterator.
-        let single = match inputs.as_slice() {
-            [only] if only.tokens.len() == total => Some(only.tokens.as_slice()),
-            _ => None,
-        };
-        for out in outputs.iter_mut() {
-            out.tokens.clear();
-            if total == 0 {
-                out.tokens.resize(out.rate as usize, Token::Unit);
-            } else if let Some(source) = single {
-                write_cycled_into(&mut out.tokens, source, out.rate);
-            } else {
-                out.tokens.extend(
-                    inputs
-                        .iter()
-                        .flat_map(|p| p.tokens.iter())
-                        .cycle()
-                        .take(out.rate as usize)
-                        .cloned(),
-                );
+        match self.inputs.len() {
+            0 => self.forward_input(None),
+            1 => self.forward_input(Some(0)),
+            _ => {
+                let total: usize = self.inputs.iter().map(|p| p.tokens.len()).sum();
+                let (inputs, outputs) = (&self.inputs, &mut self.outputs);
+                for out in outputs.iter_mut() {
+                    out.tokens.clear();
+                    if total == 0 {
+                        out.tokens.resize(out.rate as usize, Token::Unit);
+                    } else {
+                        out.tokens.extend(
+                            inputs
+                                .iter()
+                                .flat_map(|p| p.tokens.iter())
+                                .cycle()
+                                .take(out.rate as usize)
+                                .cloned(),
+                        );
+                    }
+                }
             }
+        }
+    }
+
+    /// Forwards the slab of input `index` (unit markers for `None`) to
+    /// every output. The last output whose rate equals the slab's
+    /// length takes the slab itself by swap, leaving the output's empty
+    /// pre-sized slab behind in the input; the other outputs get cycled
+    /// clones. Nothing moves when the node [emits
+    /// control](FiringContext::emits_control).
+    fn forward_input(&mut self, index: Option<usize>) {
+        let mut no_input = Vec::new();
+        let FiringContext {
+            inputs,
+            outputs,
+            emits_control,
+            ..
+        } = self;
+        let source = match index {
+            Some(i) => &mut inputs[i].tokens,
+            None => &mut no_input,
+        };
+        let moved = if *emits_control {
+            None
+        } else {
+            outputs
+                .iter()
+                .rposition(|out| out.rate as usize == source.len())
+        };
+        for (at, out) in outputs.iter_mut().enumerate() {
+            out.tokens.clear();
+            if Some(at) != moved {
+                write_cycled_into(&mut out.tokens, source, out.rate);
+            }
+        }
+        if let Some(at) = moved {
+            std::mem::swap(&mut outputs[at].tokens, source);
         }
     }
 }
@@ -299,49 +377,37 @@ pub(crate) fn fire_select_duplicate(ctx: &mut FiringContext) {
 }
 
 /// Built-in semantics of the Transaction kernel: vote when configured,
-/// then forward the best participating input.
+/// then forward the winning input's slab.
 pub(crate) fn fire_transaction(ctx: &mut FiringContext, votes_required: u32) {
+    let mut winner = None;
     if votes_required > 0 {
-        match winning_vote(&ctx.inputs, votes_required) {
-            Some(tokens) => {
-                ctx.fill_outputs_cycling(&tokens);
-                return;
-            }
-            None => ctx.vote_failed = true,
-        }
+        winner = winning_vote(&ctx.inputs, votes_required);
+        ctx.vote_failed = winner.is_none();
     }
-    // No vote (or a failed one): forward the highest-priority
-    // participating input, straight out of its slab — the hot path of
-    // every Transaction firing allocates nothing.
-    let best = ctx
-        .inputs
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, p)| p.priority)
-        .map(|(index, _)| index);
-    let (inputs, outputs) = (&ctx.inputs, &mut ctx.outputs);
-    let source: &[Token] = best.map(|i| inputs[i].tokens.as_slice()).unwrap_or(&[]);
-    for out in outputs.iter_mut() {
-        out.tokens.clear();
-        write_cycled_into(&mut out.tokens, source, out.rate);
-    }
+    // No vote (or a failed one): the highest-priority participating
+    // input.
+    let winner = winner.or_else(|| {
+        ctx.inputs
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, p)| p.priority)
+            .map(|(index, _)| index)
+    });
+    ctx.forward_input(winner);
 }
 
-/// The token stream shared by at least `votes_required` inputs, if any
-/// (ties broken towards higher priority).
-fn winning_vote(inputs: &[PortInput], votes_required: u32) -> Option<Vec<Token>> {
-    let mut candidates: Vec<&PortInput> = inputs.iter().collect();
-    candidates.sort_by_key(|p| std::cmp::Reverse(p.priority));
-    for candidate in &candidates {
+/// The index of an input whose token stream at least `votes_required`
+/// inputs share, if any (ties broken towards higher priority).
+fn winning_vote(inputs: &[PortInput], votes_required: u32) -> Option<usize> {
+    let mut candidates: Vec<usize> = (0..inputs.len()).collect();
+    candidates.sort_by_key(|&i| std::cmp::Reverse(inputs[i].priority));
+    candidates.into_iter().find(|&i| {
         let agreeing = inputs
             .iter()
-            .filter(|other| other.tokens == candidate.tokens)
+            .filter(|other| other.tokens == inputs[i].tokens)
             .count() as u32;
-        if agreeing >= votes_required {
-            return Some(candidate.tokens.clone());
-        }
-    }
-    None
+        agreeing >= votes_required
+    })
 }
 
 /// Built-in semantics of regular kernels and control actors: forward
@@ -373,6 +439,7 @@ mod tests {
             deadline_missed: false,
             vote_failed: false,
             emitted_mode: None,
+            emits_control: false,
         }
     }
 
@@ -456,6 +523,79 @@ mod tests {
         let mut ctx = ctx_with(Vec::new(), &[2]);
         fire_transaction(&mut ctx, 0);
         assert_eq!(ctx.outputs[0].tokens, vec![Token::Unit, Token::Unit]);
+    }
+
+    #[test]
+    fn transaction_hands_over_the_winning_slab_when_the_rate_matches() {
+        let winner = vec![Token::Int(3), Token::Int(4)];
+        let slab = winner.as_ptr();
+        let mut ctx = ctx_with(
+            vec![
+                port(0, 1, vec![Token::Int(1), Token::Int(2)]),
+                port(1, 3, winner),
+            ],
+            &[2],
+        );
+        fire_transaction(&mut ctx, 0);
+        assert_eq!(ctx.outputs[0].tokens, vec![Token::Int(3), Token::Int(4)]);
+        assert_eq!(
+            ctx.outputs[0].tokens.as_ptr(),
+            slab,
+            "slab moved, not copied"
+        );
+        assert!(ctx.inputs[1].tokens.is_empty());
+
+        // A rate that differs from the slab length still cycles clones.
+        let mut ctx = ctx_with(vec![port(0, 0, vec![Token::Int(5), Token::Int(6)])], &[3]);
+        let slab = ctx.inputs[0].tokens.as_ptr();
+        fire_transaction(&mut ctx, 0);
+        assert_eq!(
+            ctx.outputs[0].tokens,
+            vec![Token::Int(5), Token::Int(6), Token::Int(5)]
+        );
+        assert_eq!(ctx.inputs[0].tokens.as_ptr(), slab, "input slab kept");
+    }
+
+    #[test]
+    fn select_duplicate_moves_into_the_last_matching_output_only() {
+        let mut ctx = ctx_with(
+            vec![port(0, 0, vec![Token::Int(7), Token::Int(8)])],
+            &[2, 2, 3],
+        );
+        let slab = ctx.inputs[0].tokens.as_ptr();
+        fire_select_duplicate(&mut ctx);
+        let pair = vec![Token::Int(7), Token::Int(8)];
+        assert_eq!(ctx.outputs[0].tokens, pair);
+        assert_eq!(ctx.outputs[1].tokens, pair);
+        assert_eq!(
+            ctx.outputs[2].tokens,
+            vec![Token::Int(7), Token::Int(8), Token::Int(7)]
+        );
+        assert_ne!(
+            ctx.outputs[0].tokens.as_ptr(),
+            slab,
+            "earlier output cloned"
+        );
+        assert_eq!(
+            ctx.outputs[1].tokens.as_ptr(),
+            slab,
+            "last matching output moved"
+        );
+    }
+
+    #[test]
+    fn control_actors_keep_their_input_slabs() {
+        let mut ctx = ctx_with(vec![port(0, 0, vec![Token::Int(2)])], &[1]);
+        ctx.emits_control = true;
+        let slab = ctx.inputs[0].tokens.as_ptr();
+        fire_default(&mut ctx);
+        assert_eq!(ctx.outputs[0].tokens, vec![Token::Int(2)]);
+        assert_eq!(ctx.inputs[0].tokens.as_ptr(), slab);
+        assert_eq!(
+            ctx.input_scalars(),
+            vec![2],
+            "the mode selector still sees it"
+        );
     }
 
     #[test]

@@ -1014,6 +1014,60 @@ mod tests {
         }
     }
 
+    /// Regression: a hunt that lost a claim race used to back a stall
+    /// verdict. The holder had judged the node idle just before the
+    /// hunter's own completion made it ready, released it unfired, and
+    /// the hunter then saw `in_flight == 0` and reported
+    /// `Stalled { blocked: ["F"] }` while the node was claimable.
+    /// Thousands of tiny real-time runs (no granularity collapse) at
+    /// every worker count from 2 to 8 make the window hit.
+    #[test]
+    fn claim_races_never_report_a_spurious_stall() {
+        let graph = figure2_graph();
+        let pool = ExecutorPool::new(8);
+        let registry = KernelRegistry::new();
+        for threads in 2..=8 {
+            let config = RuntimeConfig::new(binding(1))
+                .with_threads(threads)
+                .with_real_time(std::time::Duration::from_micros(1));
+            let executor = pool.executor(&graph, config).unwrap();
+            for run in 0..400 {
+                let metrics = pool
+                    .run(&executor, &registry)
+                    .unwrap_or_else(|e| panic!("{threads} threads, run {run}: {e}"));
+                assert_eq!(metrics.iterations, 1);
+            }
+        }
+    }
+
+    /// Regression: the stall check read the epoch before `in_flight`.
+    /// A worker whose hunt saw every budget at zero just before an
+    /// iteration barrier republished them could read the epoch before
+    /// the barrier's bump and `in_flight` after the barrier worker
+    /// left, and report a stall at the start of the next iteration.
+    /// Multi-iteration real-time runs with a rebinding at every
+    /// barrier, at every worker count from 2 to 8, make the window hit.
+    #[test]
+    fn barrier_completions_never_report_a_spurious_stall() {
+        let graph = figure2_graph();
+        let pool = ExecutorPool::new(8);
+        let registry = KernelRegistry::new();
+        for threads in 2..=8 {
+            let config = RuntimeConfig::new(binding(1))
+                .with_binding_sequence(vec![binding(1), binding(3), binding(2)])
+                .with_iterations(6)
+                .with_threads(threads)
+                .with_real_time(std::time::Duration::from_micros(1));
+            let executor = pool.executor(&graph, config).unwrap();
+            for run in 0..600 {
+                let metrics = pool
+                    .run(&executor, &registry)
+                    .unwrap_or_else(|e| panic!("{threads} threads, run {run}: {e}"));
+                assert_eq!(metrics.iterations, 6);
+            }
+        }
+    }
+
     #[test]
     fn pool_survives_a_panicking_kernel() {
         let graph = figure2_graph();

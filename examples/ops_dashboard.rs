@@ -90,10 +90,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         registry.register_fn("SRC", move |ctx| {
             std::thread::sleep(Duration::from_millis(300));
             for out in &mut ctx.outputs {
-                out.tokens = match out.port {
-                    0 => feed.pop(out.rate as usize),
-                    _ => vec![Token::Int(4); out.rate as usize],
-                };
+                match out.port {
+                    0 => feed.pop_into(out.rate as usize, &mut out.tokens),
+                    _ => out.write_cycled(&[Token::Int(4)]),
+                }
             }
             Ok(())
         });

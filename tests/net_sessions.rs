@@ -366,10 +366,10 @@ fn cancelled_session_delivers_every_result_then_bye() {
         registry.register_fn("SRC", move |ctx| {
             gate.pass();
             for out in &mut ctx.outputs {
-                out.tokens = match out.port {
-                    0 => feed.pop(out.rate as usize),
-                    _ => vec![Token::Int(m as i64); out.rate as usize],
-                };
+                match out.port {
+                    0 => feed.pop_into(out.rate as usize, &mut out.tokens),
+                    _ => out.write_cycled(&[Token::Int(m as i64)]),
+                }
             }
             Ok(())
         });

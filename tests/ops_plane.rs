@@ -265,10 +265,10 @@ fn wire_fed_sessions_with_live_admin_and_client_kill() {
         registry.register_fn("SRC", move |ctx| {
             std::thread::sleep(Duration::from_millis(300));
             for out in &mut ctx.outputs {
-                out.tokens = match out.port {
-                    0 => feed.pop(out.rate as usize),
-                    _ => vec![Token::Int(4); out.rate as usize],
-                };
+                match out.port {
+                    0 => feed.pop_into(out.rate as usize, &mut out.tokens),
+                    _ => out.write_cycled(&[Token::Int(4)]),
+                }
             }
             Ok(())
         });
